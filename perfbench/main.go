@@ -77,7 +77,7 @@ type result struct {
 	samples           map[string]int
 	errs              []string
 	untraced, traced  []float64 // job seconds in an alternating traced run
-	steal             float64   // seconds the host took from this VM in the timed phase
+	steal             float64   // seconds the hypervisor took from the benchmark's VM in the timed phase
 }
 
 // alternated files one job's time under traced or untraced when the

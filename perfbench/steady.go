@@ -10,8 +10,9 @@ import (
 	"time"
 )
 
-// stealSeconds returns the CPU time the hypervisor has taken from this
-// VM so far, summed over its CPUs (the steal column of /proc/stat).
+// stealSeconds returns the CPU time the hypervisor has taken from the
+// virtual machine the benchmark runs in, summed over its CPUs (the steal
+// column of /proc/stat).
 func stealSeconds() float64 {
 	raw, err := os.ReadFile("/proc/stat")
 	if err != nil {
