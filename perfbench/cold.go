@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"context"
 	"fmt"
+	"os"
+	"os/exec"
 	"runtime/debug"
+	"strconv"
 	"time"
 
 	"repro/internal/exp"
@@ -12,12 +15,17 @@ import (
 	"repro/internal/workload"
 )
 
-// coldPresets are the benchmarks every cold job runs: mcf (pointer
-// chasing, partial correlation) and applu (streaming, perfect
-// correlation). Two presets keep a cold job at a few seconds, so a run
-// holds several and reports their median; the default 28-preset sets
-// take 20-40 s per job.
-var coldPresets = []string{"mcf", "applu"}
+// coldPresets are the benchmarks each cold workload's jobs run. The
+// default 28-preset sets take 20-45 s per job; these were chosen, by
+// profiling every preset alone, as the smallest sets whose CPU profile
+// by layer stays close to the full sets' (README.md, "Why these
+// presets"). Cold-coverage's must be memory-intensive presets, which
+// fig9 and fig10 cover by default, so that every row of a seed-1 job
+// has a reference row in EXPERIMENTS.md.
+var coldPresets = map[string][]string{
+	"cold-coverage": {"wupwise"},
+	"cold-timing":   {"gap", "sixtrack", "swim"},
+}
 
 // coldExperiments are the experiment sets of the two cold workloads: the
 // coverage figures (sim, cache, core, dbcp, history, trace) and the
@@ -28,67 +36,84 @@ var coldExperiments = map[string][]string{
 }
 
 func coldSpec(name string, seed uint64) exp.JobSpec {
-	return exp.JobSpec{Experiments: coldExperiments[name], Scale: workload.Small.String(), Seed: seed, Benchmarks: coldPresets}
+	return exp.JobSpec{Experiments: coldExperiments[name], Scale: workload.Small.String(), Seed: seed, Benchmarks: coldPresets[name]}
 }
 
-// warmupSpec is the small job a cold workload's set-up runs to start the
-// process's lazy state (heap, registries, code) before timing.
-func warmupSpec(seed uint64) exp.JobSpec {
-	return exp.JobSpec{Experiments: []string{"fig8", "table2"}, Scale: workload.Small.String(), Seed: seed, Benchmarks: []string{"gcc"}}
+// startSpec is the first job a cold run does: one of its workload's
+// experiments over the cheapest preset. Set-up is a harness process's
+// start through this job.
+func startSpec(name string, seed uint64) exp.JobSpec {
+	id := map[string]string{"cold-coverage": "fig8", "cold-timing": "table2"}[name]
+	return exp.JobSpec{Experiments: []string{id}, Scale: workload.Small.String(), Seed: seed, Benchmarks: []string{"gcc"}}
 }
 
-// runColdJob runs one memory-only job on a fresh one-worker scheduler and
-// returns its text output. Untraced it is exp.RunJob; traced it is the
-// same per-experiment exp.Run loop with a span around each experiment.
+// runColdJob runs one memory-only job on a fresh one-worker scheduler:
+// exp.RunJob once per experiment on that scheduler, each call a span
+// when traced, and the rendered reports joined in order. It returns the
+// text output and the job's scheduler counters.
 func runColdJob(ctx context.Context, spec exp.JobSpec, rec *recorder, job int) (string, runner.Stats, error) {
 	sched := runner.New(1)
-	var res *exp.JobResult
-	if rec == nil {
-		var err error
-		if res, err = exp.RunJob(ctx, spec, sched); err != nil {
+	root := rec.open("job", -1, job)
+	defer rec.close(root)
+	var b bytes.Buffer
+	for _, id := range spec.Experiments {
+		one := spec
+		one.Experiments = []string{id}
+		t := time.Now()
+		res, err := exp.RunJob(ctx, one, sched)
+		rec.add("exp."+id, root, job, t, time.Now(), 0)
+		if err != nil {
 			return "", runner.Stats{}, err
 		}
-	} else {
-		root := rec.open("job", -1, job)
-		opts := exp.Options{Context: ctx, Scale: workload.Small, Seed: spec.Seed, Benchmarks: spec.Benchmarks, Runner: sched}
-		res = &exp.JobResult{Spec: spec, Parallelism: sched.Parallelism()}
-		for _, id := range spec.Experiments {
-			t := time.Now()
-			rep, err := exp.Run(id, opts)
-			rec.add("exp."+id, root, job, t, time.Now(), 0)
-			if err != nil {
-				return "", runner.Stats{}, fmt.Errorf("%s: %w", id, err)
-			}
-			res.Reports = append(res.Reports, rep)
+		if err := res.RenderText(&b); err != nil {
+			return "", runner.Stats{}, err
 		}
-		res.Stats = sched.Stats()
-		rec.close(root)
 	}
-	var b bytes.Buffer
-	if err := res.RenderText(&b); err != nil {
-		return "", runner.Stats{}, err
+	return b.String(), sched.Stats(), nil
+}
+
+// startRun is the whole of a harness process started with -start: run
+// the workload's start job and verify it. Its exit status says whether
+// it succeeded.
+func startRun(ctx context.Context, e *env, name string) error {
+	spec := startSpec(name, e.seed)
+	text, _, err := runColdJob(ctx, spec, nil, -1)
+	if err != nil {
+		return err
 	}
-	return b.String(), res.Stats, nil
+	return e.ver.check("start-"+name, text, spec.Benchmarks, spec.Experiments)
 }
 
 // coldWorkload runs cold-coverage or cold-timing: repeated cold jobs of
-// one spec, each on a fresh scheduler with no persistent cache.
+// one spec, each on a fresh scheduler with no persistent cache. Set-up
+// is timed on fresh harness processes, each from exec to exit through
+// loading the reference and running the start job (startRun); the run
+// itself then runs the start job once before its timed phase.
 func coldWorkload(ctx context.Context, e *env, ph phase) (*result, error) {
 	res := newResult()
+	exe, err := os.Executable()
+	if err != nil {
+		return nil, err
+	}
 	var setups []float64
 	for i := 0; i < ph.setups; i++ {
+		cmd := exec.CommandContext(ctx, exe, "-start", "-workload", ph.workload,
+			"-seed", strconv.FormatUint(e.seed, 10), "-root", e.root, "-out", e.out)
+		var stderr bytes.Buffer
+		cmd.Stderr = &stderr
 		t := time.Now()
-		text, _, err := runColdJob(ctx, warmupSpec(e.seed), nil, -1)
+		err := cmd.Run()
 		setups = append(setups, time.Since(t).Seconds())
-		if err == nil {
-			err = e.ver.check("warmup", text, []string{"gcc"}, []string{"fig8", "table2"})
+		if err != nil {
+			err = fmt.Errorf("start process: %w: %s", err, bytes.TrimSpace(stderr.Bytes()))
 		}
 		res.op(err)
 	}
 	res.m.set("setup_s", "s", median(setups))
+	res.op(startRun(ctx, e, ph.workload))
 
 	spec := coldSpec(ph.workload, e.seed)
-	out, err := measureSteady(func() (*result, error) { return coldPhase(ctx, e, ph, spec) })
+	out, err := coldPhase(ctx, e, ph, spec)
 	if err != nil {
 		return nil, err
 	}

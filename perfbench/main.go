@@ -50,6 +50,7 @@ var workloads = []struct {
 
 // env is what every workload shares within one run.
 type env struct {
+	root      string // repository root
 	out, work string // build directory, this run's scratch directory
 	seed      uint64
 	ver       *verifier
@@ -78,6 +79,7 @@ type result struct {
 	errs              []string
 	untraced, traced  []float64 // job seconds in an alternating traced run
 	steal             float64   // seconds the hypervisor took from the benchmark's VM in the timed phase
+	allUnits          metrics   // the job metrics over every unit, none set aside (see steady)
 }
 
 // alternated files one job's time under traced or untraced when the
@@ -118,27 +120,6 @@ func (r *result) absorb(o *result) {
 	}
 }
 
-// measureSteady runs a timed phase, and runs it once more if the host
-// took CPU time from more than half of its units (see steady). It keeps
-// the attempt with more clean units; the operations of both count.
-func measureSteady(measure func() (*result, error)) (*result, error) {
-	a, err := measure()
-	if err != nil || 2*a.samples["units_clean"] >= a.samples["units"] {
-		return a, err
-	}
-	b, err := measure()
-	if err != nil {
-		return nil, err
-	}
-	keep, drop := b, a
-	if a.samples["units_clean"] > b.samples["units_clean"] {
-		keep, drop = a, b
-	}
-	keep.absorb(drop)
-	keep.samples["attempts"] = 2
-	return keep, nil
-}
-
 func newResult() *result {
 	return &result{m: metrics{}, layer: metrics{}, samples: map[string]int{}}
 }
@@ -166,6 +147,7 @@ func run() int {
 		traced  = flag.Int("trace", 0, "1: traced pass with per-layer metrics")
 		root    = flag.String("root", ".", "repository root (holds EXPERIMENTS.md)")
 		out     = flag.String("out", ".bench_build", "build directory (holds ltexpd, receives scratch files and spans)")
+		start   = flag.Bool("start", false, "only start: run a cold workload's start job, verify it and exit (times set-up)")
 	)
 	flag.Parse()
 	var wf workloadFunc
@@ -174,7 +156,8 @@ func run() int {
 			wf = w.run
 		}
 	}
-	if wf == nil || *seconds < 1 || (*traced != 0 && *traced != 1) || *seed == 0 {
+	if wf == nil || *seconds < 1 || (*traced != 0 && *traced != 1) || *seed == 0 ||
+		(*start && coldExperiments[*name] == nil) {
 		fmt.Fprintln(os.Stderr, "perfbench: need --workload cold-coverage|cold-timing|warm-rerun|serve, --seed ≥1, --seconds ≥1, --trace 0|1")
 		return 2
 	}
@@ -193,11 +176,18 @@ func run() int {
 		return 1
 	}
 	defer os.RemoveAll(work)
-	e := &env{out: *out, work: work, seed: *seed, ver: newVerifier(ref, *seed)}
+	e := &env{root: *root, out: *out, work: work, seed: *seed, ver: newVerifier(ref, *seed)}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	ph := phase{workload: *name, seconds: time.Duration(*seconds) * time.Second, minJobs: 3, setups: 3}
+	if *start {
+		if err := startRun(ctx, e, *name); err != nil {
+			fmt.Fprintln(os.Stderr, "perfbench:", err)
+			return 1
+		}
+		return 0
+	}
+	ph := phase{workload: *name, seconds: time.Duration(*seconds) * time.Second, minJobs: 3, setups: 5}
 	var res *result
 	if *traced == 1 {
 		res, err = tracedPass(ctx, e, ph)
@@ -262,7 +252,8 @@ func runRecord(e *env, name string, traced int, res *result) any {
 		CacheVersion string           `json:"cache_version"`
 		RefRows      int              `json:"reference_rows_checked"`
 		StealS       float64          `json:"host_steal_s"`
+		AllUnits     metrics          `json:"all_units_metrics,omitempty"`
 		Percentiles  map[string]count `json:"percentile_samples"`
 	}{name, traced, e.seed, runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.Version(),
-		buildinfo.Commit(), buildinfo.CacheVersion, e.ver.rows, res.steal, counts}
+		buildinfo.Commit(), buildinfo.CacheVersion, e.ver.rows, res.steal, res.allUnits, counts}
 }

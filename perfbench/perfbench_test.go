@@ -195,6 +195,20 @@ func TestResultOp(t *testing.T) {
 	}
 }
 
+func TestWindowMediansIgnoreOneSlowWindow(t *testing.T) {
+	// Four one-second windows of one job each; the third job stalled.
+	jobs := []jobSample{{wall: 0.010, done: 0.5}, {wall: 0.010, done: 1.5}, {wall: 0.500, done: 2.5}, {wall: 0.010, done: 3.5}}
+	res := newResult()
+	if used := res.setJobMetrics(windowUnits(jobs, 4, 1), false); len(used) != 4 {
+		t.Fatalf("used %d jobs, want 4", len(used))
+	}
+	if got := res.m["job_p99_ms"].Value; math.Abs(got-10) > 1e-9 {
+		t.Errorf("job_p99_ms = %v, want 10 (the median window's)", got)
+	}
+	if got := res.m["jobs_per_s"].Value; got != 1 {
+		t.Errorf("jobs_per_s = %v, want 1", got)
+	}
+}
 func TestSteadySetsAsideStolenUnits(t *testing.T) {
 	// Four one-second units of one 10 ms job each; the host takes 1 s of
 	// CPU time during the third second, far above stealLimit.
@@ -209,35 +223,22 @@ func TestSteadySetsAsideStolenUnits(t *testing.T) {
 		t.Errorf("job_p99_ms = %v, want 10 (the stolen second set aside)", got)
 	}
 
-	// When most units are stolen from, all are used.
+	// Cold jobs are units of their own; the run record keeps the
+	// figures over every job beside those over the clean ones.
+	cold := []jobSample{{wall: 1, done: 1}, {wall: 2, done: 3}, {wall: 1, done: 4.5}, {wall: 1, done: 5.5}}
+	st = &stealSeries{at: []float64{0, 1, 2, 3, 4, 5, 6}, steal: []float64{0, 0, 0, 1, 1, 1, 1}}
+	res = newResult()
+	if used := res.steady(jobUnits(cold), st, true); len(used) != 3 {
+		t.Fatalf("used %d cold jobs, want 3", len(used))
+	}
+	if got, all := res.m["jobs_per_s"].Value, res.allUnits["jobs_per_s"].Value; got != 1 || all != 0.8 || res.samples["units"] != 4 {
+		t.Errorf("jobs_per_s %v over clean jobs, %v over all; units %d", got, all, res.samples["units"])
+	}
+
+	// When fewer than minCleanUnits are clean, all are used.
 	st = &stealSeries{at: []float64{0, 1, 2, 3, 4}, steal: []float64{0, 1, 2, 3, 3}}
 	res = newResult()
 	if used := res.steady(windowUnits(jobs, 4, 1), st, false); len(used) != 4 {
 		t.Errorf("used %d jobs, want all 4", len(used))
-	}
-}
-
-func TestMeasureSteadyRetriesStolenPhase(t *testing.T) {
-	attempt := 0
-	measure := func() (*result, error) {
-		attempt++
-		r := newResult()
-		r.op(nil)
-		r.samples["units"] = 10
-		r.samples["units_clean"] = map[int]int{1: 2, 2: 9}[attempt]
-		r.m.set("job_s", "s", float64(attempt))
-		return r, nil
-	}
-	r, err := measureSteady(measure)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if attempt != 2 || r.m["job_s"].Value != 2 || r.attempted != 2 || r.samples["attempts"] != 2 {
-		t.Errorf("attempts %d, kept job_s %v, attempted %d", attempt, r.m["job_s"].Value, r.attempted)
-	}
-
-	attempt = 1 // the next attempt is clean and is not repeated
-	if r, _ := measureSteady(measure); attempt != 2 || r.attempted != 1 {
-		t.Errorf("a clean phase was repeated (attempts %d)", attempt)
 	}
 }

@@ -64,7 +64,7 @@ type probeTotals struct {
 // no-predictor run under a predictor), per reference.
 func layerProbe(e *env, m metrics) error {
 	var t probeTotals
-	for _, name := range coldPresets {
+	for _, name := range append(coldPresets["cold-coverage"], coldPresets["cold-timing"]...) {
 		if err := probePreset(e, name, &t); err != nil {
 			return fmt.Errorf("probe %s: %w", name, err)
 		}

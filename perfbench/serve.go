@@ -347,7 +347,7 @@ func serveWorkload(ctx context.Context, e *env, ph phase) (*result, error) {
 		return nil, err
 	}
 	defer d.stop()
-	out, err := measureSteady(func() (*result, error) { return servePhase(ctx, e, ph, d, pool, body) })
+	out, err := servePhase(ctx, e, ph, d, pool, body)
 	if err != nil {
 		return nil, err
 	}

@@ -95,6 +95,12 @@ func (s *stealSeries) between(a, b float64) float64 {
 // the CPUs) the host may take before the stretch is set aside.
 const stealLimit = 0.05
 
+// minCleanUnits is how many units the host must have left alone for
+// the others to be set aside. Steal comes in episodes of minutes, so a
+// run can have few clean units; three still give a median, and a serve
+// or warm window holds a thousand jobs.
+const minCleanUnits = 3
+
 // jobSample is one timed job: wall, CPU, MB allocated, peak RSS in MB,
 // and when it completed, in seconds from the phase start.
 type jobSample struct {
@@ -110,11 +116,11 @@ type unit struct {
 
 // steady sets the job metrics from the units of a timed phase that the
 // host left alone: those where it took at most stealLimit of the CPU
-// capacity, provided at least half the units qualify (otherwise all
-// are used, and the run record says so). Units of one job give the
-// mean, percentiles and rate over those jobs; window units give the
-// median over units of each unit's mean, percentiles and job rate, so a
-// few seconds of stall move a few units, not the run's figures.
+// capacity, provided at least minCleanUnits qualify (otherwise all are
+// used, and the run record says so). It returns the jobs of the
+// units used. The same figures over every unit go to r.allUnits, which
+// the run record prints, so that what setting units aside changes can
+// be measured on the same runs.
 func (r *result) steady(units []unit, st *stealSeries, perJob bool) []jobSample {
 	capacity := float64(runtime.NumCPU())
 	var clean []unit
@@ -124,16 +130,27 @@ func (r *result) steady(units []unit, st *stealSeries, perJob bool) []jobSample 
 		}
 	}
 	used := clean
-	if len(clean)*2 < len(units) || len(clean) == 0 {
+	if len(clean) < minCleanUnits {
 		used = units
 	}
 	r.samples["units"] = len(units)
 	r.samples["units_clean"] = len(clean)
 	r.samples["units_used"] = len(used)
 	r.steal = st.between(0, units[len(units)-1].till)
+	all := newResult()
+	all.setJobMetrics(units, perJob)
+	r.allUnits = all.m
+	return r.setJobMetrics(used, perJob)
+}
 
+// setJobMetrics sets the job metrics from the units of a timed phase and
+// returns their jobs. Units of one job give the mean, percentiles and
+// rate over those jobs; window units give the median over units of each
+// unit's mean, percentiles and job rate, so a few seconds of stall move
+// a few units, not the run's figures.
+func (r *result) setJobMetrics(units []unit, perJob bool) []jobSample {
 	var jobs []jobSample
-	for _, u := range used {
+	for _, u := range units {
 		jobs = append(jobs, u.jobs...)
 	}
 	r.samples["job"] = len(jobs)
@@ -160,7 +177,7 @@ func (r *result) steady(units []unit, st *stealSeries, perJob bool) []jobSample 
 	}
 	var means, p50, p90, p99, rate []float64
 	least := len(jobs)
-	for _, u := range used {
+	for _, u := range units {
 		walls := pick(wall, u.jobs)
 		rate = append(rate, float64(len(walls))/(u.till-u.from))
 		if len(walls) == 0 {

@@ -88,7 +88,7 @@ func warmWorkload(ctx context.Context, e *env, ph phase) (*result, error) {
 	}
 	res.m.set("setup_s", "s", median(setups))
 
-	out, err := measureSteady(func() (*result, error) { return warmPhase(ctx, e, ph, dir, spec) })
+	out, err := warmPhase(ctx, e, ph, dir, spec)
 	if err != nil {
 		return nil, err
 	}
