@@ -7,7 +7,7 @@
 //
 // Run it through run.sh, which builds it and ltexpd first:
 //
-//	bash perfbench/run.sh --workload cold-coverage --seed 1 --seconds 20 --trace 0
+//	bash perfbench/run.sh --workload cold-coverage --seed 1 --seconds 30 --trace 0
 //
 // The last line of standard output is the result:
 // {"correct":…,"attempted":…,"failed":…,"metrics":{name:{"value":…,"unit":…}}}.
@@ -143,7 +143,7 @@ func run() int {
 	var (
 		name    = flag.String("workload", "", "workload: cold-coverage|cold-timing|warm-rerun|serve")
 		seed    = flag.Uint64("seed", 1, "workload seed")
-		seconds = flag.Int("seconds", 20, "seconds the timed phase runs")
+		seconds = flag.Int("seconds", 30, "seconds the timed phase runs")
 		traced  = flag.Int("trace", 0, "1: traced pass with per-layer metrics")
 		root    = flag.String("root", ".", "repository root (holds EXPERIMENTS.md)")
 		out     = flag.String("out", ".bench_build", "build directory (holds ltexpd, receives scratch files and spans)")

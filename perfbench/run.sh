@@ -2,7 +2,7 @@
 # Builds the benchmark harness and the ltexpd daemon from the checkout's
 # sources, then runs the harness. Run it from the repository root:
 #
-#   bash perfbench/run.sh --workload cold-timing --seed 1 --seconds 20 --trace 0
+#   bash perfbench/run.sh --workload cold-timing --seed 1 --seconds 30 --trace 0
 #
 # Every file the build and the run write goes under $CARGO_TARGET_DIR
 # (default .bench_build): the Go build cache, temporary files, the

@@ -69,7 +69,9 @@ var gcLine = regexp.MustCompile(`^gc \d+ @([0-9.]+)s .* (\d+)->(\d+)->(\d+) MB`)
 // startDaemon runs ltexpd with its default flags on a free loopback port
 // over a fresh cache directory and waits until /readyz answers 200. The
 // daemon's GC trace goes to its standard error, where the benchmark
-// reads its allocation volume.
+// reads its allocation volume. The daemon runs Go code on one processor
+// and the clients on another (servePhase), so together they never ask
+// for more CPUs than the two the benchmark is given.
 func startDaemon(ctx context.Context, bin, cacheDir string) (*daemon, error) {
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -78,7 +80,7 @@ func startDaemon(ctx context.Context, bin, cacheDir string) (*daemon, error) {
 	addr := l.Addr().String()
 	l.Close()
 	cmd := exec.Command(bin, "-addr", addr, "-cache-dir", cacheDir)
-	cmd.Env = append(os.Environ(), "GODEBUG=gctrace=1")
+	cmd.Env = append(os.Environ(), "GODEBUG=gctrace=1", "GOMAXPROCS=1")
 	cmd.SysProcAttr = &syscall.SysProcAttr{Pdeathsig: syscall.SIGKILL}
 	stderr, err := cmd.StderrPipe()
 	if err != nil {
@@ -359,8 +361,8 @@ func serveWorkload(ctx context.Context, e *env, ph phase) (*result, error) {
 func servePhase(ctx context.Context, e *env, ph phase, d *daemon, pool []exp.JobSpec, body []byte) (*result, error) {
 	res := newResult()
 	// The clients spend most of their time waiting on the daemon; one
-	// processor for both keeps them from competing with the daemon for
-	// the second CPU.
+	// processor is enough for both, and leaves the other CPU to the
+	// daemon.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	runs := make([]clientRun, serveClients)
 	cpu0, err := procCPU(d.cmd.Process.Pid)
