@@ -12,6 +12,7 @@
 //	ltexp -exp all -cache-dir ~/.cache/ltexp   # persistent warm-start cache
 //	ltexp -exp all -cache-dir D -cache ro      # read a shared cache, never write
 //	ltexp -list                     # enumerate experiment ids
+//	ltexp -exp table3 -cpuprofile cpu.out -memprofile mem.out
 //
 // Experiments are decomposed into simulation cells executed by a worker
 // pool (internal/runner); one scheduler is shared across the whole
@@ -41,6 +42,8 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
+	"runtime"
+	"runtime/pprof"
 	"strings"
 	"syscall"
 
@@ -52,6 +55,12 @@ import (
 )
 
 func main() {
+	os.Exit(run())
+}
+
+// run is the whole command; it returns the exit status so the profile
+// writers' defers run before the process exits (os.Exit would skip them).
+func run() int {
 	var (
 		expID    = flag.String("exp", "", "experiment id (or 'all')")
 		scale    = flag.String("scale", "small", "workload scale: small|medium|large")
@@ -65,6 +74,8 @@ func main() {
 		cacheDir = flag.String("cache-dir", "", "persistent cell/trace cache directory (empty = in-memory only)")
 		cacheMod = flag.String("cache", "rw", "persistent cache mode: off|ro|rw")
 		cacheCap = flag.String("cache-cap", "0", "persistent cache size cap, e.g. 2G (0 = unlimited, LRU eviction)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the job to this file")
+		memProf  = flag.String("memprofile", "", "write a heap profile (taken after the job) to this file")
 	)
 	showVersion := buildinfo.VersionFlag("ltexp")
 	flag.Parse()
@@ -74,32 +85,61 @@ func main() {
 		for _, id := range exp.IDs() {
 			fmt.Println(id)
 		}
-		return
+		return 0
 	}
 	if *expID == "" {
 		fmt.Fprintln(os.Stderr, "ltexp: -exp required (try -list)")
-		os.Exit(2)
+		return 2
 	}
 	// Flag-shaped mistakes exit 2 (like cache mode/cap below); RunJob
 	// re-validates the scale for the daemon path, where it is a 400.
 	if _, err := workload.ParseScale(*scale); err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(2)
+		return 2
 	}
 	mode, err := cachedir.ParseMode(*cacheMod)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(2)
+		return 2
 	}
 	capBytes, err := cachedir.ParseSize(*cacheCap)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(2)
+		return 2
+	}
+	if *cpuProf != "" {
+		f, err := os.Create(*cpuProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ltexp:", err)
+			return 1
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fmt.Fprintln(os.Stderr, "ltexp:", err)
+			return 1
+		}
+		defer pprof.StopCPUProfile()
+	}
+	if *memProf != "" {
+		f, err := os.Create(*memProf)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "ltexp:", err)
+			return 1
+		}
+		// The heap profile is written when the job finishes; its
+		// alloc_space view covers the whole job.
+		defer func() {
+			runtime.GC()
+			if err := pprof.WriteHeapProfile(f); err != nil {
+				fmt.Fprintln(os.Stderr, "ltexp:", err)
+			}
+			f.Close()
+		}()
 	}
 	cdir, err := exp.OpenCache(*cacheDir, mode, capBytes)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(1)
+		return 1
 	}
 	// One scheduler for the whole invocation: its cell cache spans every
 	// experiment, so figures sharing cells re-simulate nothing. With
@@ -133,7 +173,7 @@ func main() {
 	res, err := exp.RunJob(ctx, spec, sched)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(1)
+		return 1
 	}
 	if *jsonOut {
 		err = res.RenderJSON(os.Stdout)
@@ -142,9 +182,10 @@ func main() {
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "ltexp:", err)
-		os.Exit(1)
+		return 1
 	}
 	if !*quiet {
 		fmt.Fprintln(os.Stderr, res.Summary())
 	}
+	return 0
 }

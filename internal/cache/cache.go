@@ -419,7 +419,10 @@ func (c *Cache) AccessBatch(addrs []mem.Addr, writes []bool, now []uint64, out [
 // shadow hierarchy's per-access eviction details are never consumed, so
 // this path skips materializing EvictInfo (address rebuild, dead-time)
 // entirely, folds set/tag extraction into the access loop, and batches the
-// statistics updates into per-call accumulators. Slice contract as in
+// statistics updates into per-call accumulators. An access to the block
+// the previous access of the same call touched skips the lookup: that
+// block is resident in the way the previous access hit or filled, and
+// nothing else runs on the cache between the two. Slice contract as in
 // AccessBatch.
 func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, hits []bool) {
 	n := len(addrs)
@@ -432,12 +435,17 @@ func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, h
 	mask := mem.Addr(c.geo.Sets() - 1)
 	clock := c.clock
 	var nhits, wmiss, evics, dirtyEv, pfUnused, pfHits uint64
+	lastBn, lastW := mem.Addr(0), -1
 	for i := 0; i < n; i++ {
 		bn := addrs[i] >> bb
-		base := int(bn&mask) * c.assoc
-		tag := bn >> sb
 		clock++
-		if w := c.lookupWay(base, tag); w >= 0 {
+		w := lastW
+		if bn != lastBn || w < 0 {
+			w = c.lookupWay(int(bn&mask)*c.assoc, bn>>sb)
+		}
+		lastBn = bn
+		if w >= 0 {
+			lastW = w
 			nhits++
 			f := c.flags[w]
 			if f&flagPrefetched != 0 {
@@ -458,7 +466,9 @@ func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, h
 		if writes[i] {
 			wmiss++
 		}
-		w := c.victimWay(base)
+		base := int(bn&mask) * c.assoc
+		w = c.victimWay(base)
+		lastW = w
 		if f := c.flags[w]; f&flagValid != 0 {
 			evics++
 			if f&flagDirty != 0 {
@@ -468,7 +478,7 @@ func (c *Cache) AccessBatchHits(addrs []mem.Addr, writes []bool, now []uint64, h
 				pfUnused++
 			}
 		}
-		c.tags[w] = tag
+		c.tags[w] = bn >> sb
 		f := flagValid
 		if writes[i] {
 			f |= flagDirty

@@ -193,18 +193,22 @@ type Engine struct {
 	dram   *bus.DRAM
 	memBus *bus.Line
 
-	// Batch prep lanes (see Run): per-reference block addresses and
-	// precomputed L1/TLB set-index+tag pairs, extracted in one pass over
-	// each reference batch before the serialized per-reference walk.
-	blocks  []mem.Addr
-	l1Sets  []int32
-	l1Tags  []mem.Addr
-	tlbSets []int32
-	tlbTags []mem.Addr
+	// Batch prep lanes (see Run): per-reference block addresses,
+	// precomputed L1 set-index+tag pairs and TLB hit bits, extracted in
+	// one pass over each reference batch before the serialized
+	// per-reference walk. tlbWrites and tlbNow are constant all-false and
+	// all-zero lanes for the TLB's batch call.
+	blocks    []mem.Addr
+	l1Sets    []int32
+	l1Tags    []mem.Addr
+	tlbHits   []bool
+	tlbWrites []bool
+	tlbNow    []uint64
 
 	cycle      uint64
 	instrs     uint64
-	issueCarry int // instructions not yet converted to cycles
+	issueCarry int  // instructions not yet converted to cycles
+	issueShift uint // log2(IssueWidth)
 
 	rob ring[inflightOp] // FIFO of in-flight memory ops (instruction order)
 	// missDones mirrors the completion times of the ROB's miss subsequence
@@ -230,6 +234,7 @@ type Engine struct {
 	mshrScratch []uint64
 
 	branchDebtMicro uint64
+	branchMicro     uint64 // BranchMPKI*1000: micro-mispredictions per instruction
 	// lastEvict is the eviction of the most recent demand access; its
 	// address is handed to predictor hooks (which must not retain it),
 	// avoiding a per-miss heap allocation. Same for fillEvict, the slot for
@@ -262,6 +267,10 @@ func NewEngine(p Params, l1cfg, l2cfg cache.Config) (*Engine, error) {
 	if p.IssueWidth < 1 || p.ROB < 1 || p.LSQ < 1 || p.MSHRs < 1 {
 		return nil, fmt.Errorf("cpu: core parameters must be positive")
 	}
+	issueShift, ok := mem.Log2(p.IssueWidth)
+	if !ok {
+		return nil, fmt.Errorf("cpu: IssueWidth %d not a power of two", p.IssueWidth)
+	}
 	if p.PrefetchInflight == 0 {
 		p.PrefetchInflight = p.MSHRs
 	}
@@ -273,6 +282,9 @@ func NewEngine(p Params, l1cfg, l2cfg cache.Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
+	if p.PageBytes < l1cfg.BlockSize {
+		return nil, fmt.Errorf("cpu: PageBytes %d smaller than the L1 block", p.PageBytes)
+	}
 	tlb, err := cache.New(cache.Config{
 		Name: "TLB", Size: p.TLBEntries * p.PageBytes, BlockSize: p.PageBytes, Assoc: p.TLBAssoc,
 	})
@@ -281,52 +293,51 @@ func NewEngine(p Params, l1cfg, l2cfg cache.Config) (*Engine, error) {
 	}
 	memBus := bus.NewLine("mem", 1)
 	return &Engine{
-		p:         p,
-		l1cfg:     l1cfg,
-		l2cfg:     l2cfg,
-		l1:        l1,
-		l2:        l2,
-		tlb:       tlb,
-		geo:       l1.Geometry(),
-		busL2:     bus.NewLine("l1l2", 2),
-		memBus:    memBus,
-		dram:      bus.NewDRAM(memBus),
-		pfTracker: make(map[mem.Addr]uint64, 256),
-		blocks:    make([]mem.Addr, trace.DefaultBatch),
-		l1Sets:    make([]int32, trace.DefaultBatch),
-		l1Tags:    make([]mem.Addr, trace.DefaultBatch),
-		tlbSets:   make([]int32, trace.DefaultBatch),
-		tlbTags:   make([]mem.Addr, trace.DefaultBatch),
+		p:           p,
+		l1cfg:       l1cfg,
+		l2cfg:       l2cfg,
+		l1:          l1,
+		l2:          l2,
+		tlb:         tlb,
+		geo:         l1.Geometry(),
+		busL2:       bus.NewLine("l1l2", 2),
+		memBus:      memBus,
+		dram:        bus.NewDRAM(memBus),
+		pfTracker:   make(map[mem.Addr]uint64, 256),
+		blocks:      make([]mem.Addr, trace.DefaultBatch),
+		l1Sets:      make([]int32, trace.DefaultBatch),
+		l1Tags:      make([]mem.Addr, trace.DefaultBatch),
+		tlbHits:     make([]bool, trace.DefaultBatch),
+		tlbWrites:   make([]bool, trace.DefaultBatch),
+		tlbNow:      make([]uint64, trace.DefaultBatch),
+		issueShift:  issueShift,
+		branchMicro: uint64(p.BranchMPKI * 1000),
 	}, nil
 }
 
-// prep runs the batch extraction pass: block addresses and L1/TLB
-// set-index/tag pairs for every reference in the batch, into the engine's
-// reused lanes. The per-reference machine walk is inherently serialized
-// (every latency depends on the previous reference's completion), but the
+// prep runs the batch extraction pass: block addresses and L1 set-index/
+// tag pairs for every reference in the batch (at most trace.DefaultBatch,
+// Run's buffer size), into the engine's reused lanes. The per-reference
+// machine walk is inherently serialized (every
+// latency depends on the previous reference's completion), but the
 // address arithmetic is not — hoisting it here keeps the serialized loop
 // free of geometry work and the extraction loop vectorizable.
+//
+// The TLB runs here too, as one AccessBatchHits call over the whole
+// batch. That is exact: the TLB sees only demand references, in stream
+// order, nothing else fills or probes it, and only its hit bit is used —
+// its eviction records and touch clocks, the only state the access
+// clock reaches, are never read. The TLB is fed block addresses, which
+// lie on their reference's page because NewEngine rejects pages smaller
+// than a block.
 func (e *Engine) prep(refs []trace.Ref) {
-	if len(refs) > len(e.blocks) {
-		e.blocks = make([]mem.Addr, len(refs))
-		e.l1Sets = make([]int32, len(refs))
-		e.l1Tags = make([]mem.Addr, len(refs))
-		e.tlbSets = make([]int32, len(refs))
-		e.tlbTags = make([]mem.Addr, len(refs))
-	}
-	tgeo := e.tlb.Geometry()
 	for i, ref := range refs {
 		e.blocks[i] = e.geo.BlockAddr(ref.Addr)
 		e.l1Sets[i] = int32(e.geo.Index(ref.Addr))
 		e.l1Tags[i] = e.geo.Tag(ref.Addr)
-		e.tlbSets[i] = int32(tgeo.Index(ref.Addr))
-		e.tlbTags[i] = tgeo.Tag(ref.Addr)
 	}
+	e.tlb.AccessBatchHits(e.blocks[:len(refs)], e.tlbWrites, e.tlbNow, e.tlbHits)
 }
-
-// memBusIdleGrant returns now (prefetches are issued opportunistically;
-// the shared bus reservation inside the DRAM model provides the queuing).
-func (e *Engine) memBusIdleGrant(now uint64) uint64 { return now }
 
 // retire pops completed ops and enforces ROB/LSQ windows before issuing
 // instruction index instr.
@@ -516,8 +527,9 @@ func (e *Engine) enqueuePrefetch(now uint64, p sim.Prediction) {
 		if e.l2.Probe(block) {
 			return
 		}
-		grant := e.memBusIdleGrant(now)
-		_ = e.dram.ReadBlock(grant, e.l1cfg.BlockSize)
+		// Prefetches issue opportunistically: the shared bus reservation
+		// inside the DRAM model provides the queuing.
+		e.dram.ReadBlock(now, e.l1cfg.BlockSize)
 		e.l2.InsertPrefetch(block, 0, false, now)
 		e.res.PrefetchIssued++
 		e.pfOffChipL2 += uint64(e.l1cfg.BlockSize)
@@ -601,13 +613,13 @@ func (e *Engine) step(ref trace.Ref, i int, pf sim.Prefetcher, filler sim.Prefet
 
 	// Front-end: issue-width-limited instruction delivery.
 	e.issueCarry += int(n)
-	e.cycle += uint64(e.issueCarry / e.p.IssueWidth)
-	e.issueCarry %= e.p.IssueWidth
+	e.cycle += uint64(e.issueCarry >> e.issueShift)
+	e.issueCarry &= e.p.IssueWidth - 1
 
 	// Branch mispredictions at the workload's density: MPKI per 1000
 	// instructions, accumulated in micro-misprediction units.
 	if e.p.BranchMPKI > 0 {
-		e.branchDebtMicro += n * uint64(e.p.BranchMPKI*1000)
+		e.branchDebtMicro += n * e.branchMicro
 		for e.branchDebtMicro >= 1_000_000 {
 			e.cycle += uint64(e.p.BranchPenalty)
 			e.res.BranchBubbles++
@@ -624,8 +636,8 @@ func (e *Engine) step(ref trace.Ref, i int, pf sim.Prefetcher, filler sim.Prefet
 		issue = e.lastLoadDone
 	}
 
-	// TLB.
-	if !e.tlb.AccessIndexed(int(e.tlbSets[i]), e.tlbTags[i], false, e.cycle).Hit {
+	// TLB (looked up in the prep pass).
+	if !e.tlbHits[i] {
 		e.res.TLBMiss++
 		issue += uint64(e.p.TLBPenalty)
 	}

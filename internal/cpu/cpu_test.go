@@ -32,6 +32,17 @@ func TestNewEngineValidation(t *testing.T) {
 	if _, err := NewEngine(p, cache.Config{}, cache.Config{}); err == nil {
 		t.Error("bad TLB geometry must fail")
 	}
+	p = DefaultParams()
+	p.IssueWidth = 6 // the front end converts instructions to cycles by shift
+	if _, err := NewEngine(p, cache.Config{}, cache.Config{}); err == nil {
+		t.Error("non-power-of-two issue width must fail")
+	}
+	p = DefaultParams()
+	p.PageBytes = 32 // the TLB is fed 64-byte L1 block addresses
+	p.TLBEntries = 256
+	if _, err := NewEngine(p, cache.Config{}, cache.Config{}); err == nil {
+		t.Error("a page smaller than an L1 block must fail")
+	}
 }
 
 // All-hit workload: IPC approaches the issue width over gap-dense streams.

@@ -25,7 +25,8 @@ import (
 type Params struct {
 	// IndexEntries is the size of the PC-indexed table (direct mapped).
 	IndexEntries int
-	// BufferEntries is the size of the circular global history buffer.
+	// BufferEntries is the size of the circular global history buffer
+	// (a power of two).
 	BufferEntries int
 	// Depth is the prefetch degree (deltas replayed per prediction).
 	Depth int
@@ -66,12 +67,11 @@ type Predictor struct {
 	geo   mem.Geometry
 	it    []itEntry
 	buf   []ghbEntry
+	mask  uint64 // len(buf) - 1
 	head  uint64 // absolute count of pushes
 	stats Stats
 
-	// scratch buffers reused across calls
-	addrs  []mem.Addr
-	deltas []int64
+	deltas []int64 // chain-walk scratch, reused across calls
 }
 
 var _ sim.Prefetcher = (*Predictor)(nil)
@@ -84,6 +84,9 @@ func New(l1 cache.Config, p Params) (*Predictor, error) {
 	}
 	if p.BufferEntries < 4 {
 		return nil, fmt.Errorf("ghb: BufferEntries %d too small", p.BufferEntries)
+	}
+	if _, ok := mem.Log2(p.BufferEntries); !ok {
+		return nil, fmt.Errorf("ghb: BufferEntries %d not a power of two", p.BufferEntries)
 	}
 	if p.Depth < 1 {
 		return nil, fmt.Errorf("ghb: Depth must be positive")
@@ -99,10 +102,11 @@ func New(l1 cache.Config, p Params) (*Predictor, error) {
 		return nil, err
 	}
 	return &Predictor{
-		p:   p,
-		geo: geo,
-		it:  make([]itEntry, p.IndexEntries),
-		buf: make([]ghbEntry, p.BufferEntries),
+		p:    p,
+		geo:  geo,
+		it:   make([]itEntry, p.IndexEntries),
+		buf:  make([]ghbEntry, p.BufferEntries),
+		mask: uint64(p.BufferEntries - 1),
 	}, nil
 }
 
@@ -131,7 +135,7 @@ func (pr *Predictor) live(ptr uint64) bool {
 }
 
 func (pr *Predictor) at(ptr uint64) *ghbEntry {
-	return &pr.buf[(ptr-1)%uint64(len(pr.buf))]
+	return &pr.buf[(ptr-1)&pr.mask]
 }
 
 // OnAccess implements sim.Prefetcher: GHB trains on misses only.
@@ -160,33 +164,25 @@ func (pr *Predictor) OnAccess(ref trace.Ref, hit bool, evicted *cache.EvictInfo,
 // appending replayed prefetch addresses to preds.
 func (pr *Predictor) predict(cur mem.Addr, preds []sim.Prediction) []sim.Prediction {
 	pr.stats.Walks++
-	// Gather the PC's most recent miss addresses, newest first.
-	addrs := pr.addrs[:0]
-	ptr := pr.head
-	for len(addrs) < pr.p.MaxChain && pr.live(ptr) {
-		e := pr.at(ptr)
-		addrs = append(addrs, e.addr)
-		ptr = e.prev
-	}
-	pr.addrs = addrs
-	if len(addrs) < 4 {
-		return preds // need at least two deltas of history plus a pair to match
-	}
-	// deltas[i] = addrs[i] - addrs[i+1]; deltas[0] is the newest delta.
+	// Walk the PC's chain of at most MaxChain miss addresses, newest
+	// first, building deltas[i] = addr[i] - addr[i+1] (deltas[0] is the
+	// newest delta) as it goes. The walk stops at the most recent earlier
+	// occurrence of the pair (d1, d0): the smallest j ≥ 2 with deltas[j]
+	// == deltas[0] and deltas[j+1] == deltas[1], checked as soon as
+	// deltas[j+1] exists.
 	deltas := pr.deltas[:0]
-	for i := 0; i+1 < len(addrs); i++ {
-		deltas = append(deltas, int64(addrs[i])-int64(addrs[i+1]))
-	}
-	pr.deltas = deltas
-	d0, d1 := deltas[0], deltas[1]
-	// Find the most recent earlier occurrence of the pair (d1, d0).
+	e := pr.at(pr.head)
 	match := -1
-	for j := 2; j+1 < len(deltas); j++ {
-		if deltas[j] == d0 && deltas[j+1] == d1 {
+	for n := 1; n < pr.p.MaxChain && pr.live(e.prev); n++ {
+		next := pr.at(e.prev)
+		deltas = append(deltas, int64(e.addr)-int64(next.addr))
+		e = next
+		if j := len(deltas) - 2; j >= 2 && deltas[j] == deltas[0] && deltas[j+1] == deltas[1] {
 			match = j
 			break
 		}
 	}
+	pr.deltas = deltas
 	if match < 0 {
 		return preds
 	}

@@ -16,6 +16,9 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(sim.PaperL1D(), Params{IndexEntries: 256, BufferEntries: 2, Depth: 4}); err == nil {
 		t.Error("tiny GHB must fail")
 	}
+	if _, err := New(sim.PaperL1D(), Params{IndexEntries: 256, BufferEntries: 100, Depth: 4}); err == nil {
+		t.Error("non-power-of-two GHB must fail (the ring is indexed by mask)")
+	}
 	if _, err := New(sim.PaperL1D(), Params{IndexEntries: 256, BufferEntries: 256, Depth: 0}); err == nil {
 		t.Error("zero depth must fail")
 	}
